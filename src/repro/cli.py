@@ -24,6 +24,7 @@ devices; ``characterise`` prints the scale-free workload statistics;
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.core import PROBLEM_FACTORIES, Scheme, Simulation
@@ -453,16 +454,33 @@ def _start_live_plane(args, recorder=None):
     return live, server
 
 
+def _check_output_path(path) -> None:
+    """Fail before any transport if ``path``'s directory cannot take the
+    artifact (the run would otherwise die after doing all its work)."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"cannot write {path}: {parent} is not writable")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = PROBLEM_FACTORIES[args.problem](
-        nx=args.nx,
-        nparticles=args.particles,
-        ntimesteps=args.timesteps,
-        seed=args.seed,
-        boundary=BoundaryCondition(args.boundary),
-        use_russian_roulette=args.russian_roulette,
-        xs_mode=args.xs_mode,
-    )
+    try:
+        cfg = PROBLEM_FACTORIES[args.problem](
+            nx=args.nx,
+            nparticles=args.particles,
+            ntimesteps=args.timesteps,
+            seed=args.seed,
+            boundary=BoundaryCondition(args.boundary),
+            use_russian_roulette=args.russian_roulette,
+            xs_mode=args.xs_mode,
+        )
+        _check_output_path(args.telemetry)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     from repro.parallel import FaultPlan, ScheduleKind, simulate_parallel_for
 
     schedule = ScheduleKind(args.schedule)
@@ -614,14 +632,15 @@ def _cmd_ensemble_run(args: argparse.Namespace) -> int:
         run_ensemble_looped,
     )
 
-    base = factories[args.problem](
-        nx=args.nx,
-        nparticles=args.particles,
-        ntimesteps=args.timesteps,
-        seed=args.seed,
-        xs_mode=args.xs_mode,
-    )
     try:
+        base = factories[args.problem](
+            nx=args.nx,
+            nparticles=args.particles,
+            ntimesteps=args.timesteps,
+            seed=args.seed,
+            xs_mode=args.xs_mode,
+        )
+        _check_output_path(args.telemetry)
         sweeps = tuple(SweepSpec.parse(s) for s in args.sweep)
         spec = EnsembleSpec(
             base, args.replicas, seed_stride=args.seed_stride, sweeps=sweeps
@@ -714,10 +733,15 @@ def _cmd_run3d(args: argparse.Namespace) -> int:
         "scatter3": scatter3_problem,
         "csp3": csp3_problem,
     }[args.problem]
-    cfg = factory(
-        n=args.n, nparticles=args.particles, seed=args.seed,
-        xs_mode=args.xs_mode,
-    )
+    try:
+        cfg = factory(
+            n=args.n, nparticles=args.particles, seed=args.seed,
+            xs_mode=args.xs_mode,
+        )
+        _check_output_path(args.telemetry)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     driver = (
         run_over_particles_3d
         if Scheme(args.scheme) is Scheme.OVER_PARTICLES

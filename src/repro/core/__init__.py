@@ -6,10 +6,11 @@ Public entry points:
 * :class:`repro.core.simulation.Simulation` — facade: build from a
   :class:`repro.core.config.SimulationConfig` (or a problem factory from
   :mod:`repro.core.problems`) and run either scheme;
-* :func:`repro.core.over_particles.run_over_particles` — depth-first
-  history tracking (paper §V-A, Listing 1);
-* :func:`repro.core.over_events.run_over_events` — breadth-first event
-  passes (paper §V-B, Listing 2);
+* :func:`repro.core.stepper.run_stepped` — the census stepper that runs
+  either scheme (or a per-step switching plan): blocked depth-first
+  history tracking (paper §V-A, Listing 1) or breadth-first event passes
+  (paper §V-B, Listing 2), both over the one event handler layer in
+  :mod:`repro.core.handlers`;
 * :mod:`repro.core.validation` — conservation checks.
 
 Both schemes consume identical per-particle random streams and produce
@@ -28,8 +29,6 @@ from repro.core.problems import (
     PAPER_TIMESTEP_S,
 )
 from repro.core.simulation import Simulation, TransportResult
-from repro.core.over_particles import run_over_particles
-from repro.core.over_events import run_over_events
 from repro.core.validation import energy_balance_error, population_accounted
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "PAPER_TIMESTEP_S",
     "Simulation",
     "TransportResult",
-    "run_over_particles",
-    "run_over_events",
     "energy_balance_error",
     "population_accounted",
 ]

@@ -1,35 +1,35 @@
 """The unified census stepper — one census loop for every driver.
 
-Historically ``over_particles.py`` and ``over_events.py`` (and the 3-D
-driver) each owned a private copy of the same census scaffolding: source
-emission, the ``for step in range(ntimesteps)`` loop, the census-boundary
-``dt_to_census`` reset, fission-bank bookkeeping and the final counter
-wiring.  This module hoists all of that into one place:
+Source emission, the ``for step in range(ntimesteps)`` loop, the
+census-boundary ``dt_to_census`` reset, fission-bank bookkeeping and the
+final counter wiring live here once, for plain runs and fused ensembles
+alike:
 
 * :func:`drive_census_loop` — the census loop itself (run span →
   timestep spans).  Every driver routes through it; the
   ``repro.kernels`` audit rejects any new ``range(ntimesteps)`` loop
   outside this module.
 * :class:`CensusStepper` / :func:`run_stepped` — the full 2-D transport
-  driver.  Each census step's transport is delegated to a pluggable
-  scheme strategy (OP blocked lock-step or OE breadth-first) chosen per
-  step by a *plan*, so the scheme becomes a per-census-step decision
-  rather than a per-run constant.
+  driver.  Each census step's transport is delegated to a scheme
+  strategy chosen per step by a *plan*, so the scheme becomes a
+  per-census-step decision rather than a per-run constant.  Both
+  strategies schedule the one event handler layer
+  (:mod:`repro.core.handlers`): Over Events runs ``event_pass`` on the
+  whole arena, Over Particles runs it on gathered lane blocks.
 * :class:`StepDecision` / :class:`SwitchPlan` — declarative switch
-  schedules.  ``SwitchPlan.fixed(scheme)`` reproduces the legacy
-  single-scheme drivers bit-for-bit; arbitrary schedules (including
-  adversarial every-step switching) remain physics-bit-identical because
-  every history owns a counter-based RNG stream and all census-boundary
-  state lives in the arena.
+  schedules.  ``SwitchPlan.fixed(scheme)`` is a single-scheme run;
+  arbitrary schedules (including adversarial every-step switching)
+  remain physics-bit-identical because every history owns a
+  counter-based RNG stream and all census-boundary state lives in the
+  arena.
 
-Parity argument (the headline test of the adaptive PR): at a census
-boundary the entire transport state of a history is its arena row —
-position, direction, energy, weight, cached bins, ``dt_to_census``,
-``mfp_to_collision`` and the RNG counter.  Both strategies read exactly
-that state at step entry and leave exactly that state at step exit
-(OP synchronises RNG counters per block writeback, the stepper
-synchronises OE counters at every step end), so *which* strategy
-advances a given step cannot change any history's event sequence.  Only
+Parity argument: at a census boundary the entire transport state of a
+history is its arena row — position, direction, energy, weight, cached
+bins, ``dt_to_census``, ``mfp_to_collision`` and the RNG counter.  Both
+strategies read exactly that state at step entry and leave exactly that
+state at step exit (OP synchronises RNG counters per block writeback,
+the OE strategy at every step end), so *which* strategy advances a
+given step cannot change any history's event sequence.  Only
 instrumentation that prices traversal order (xs probe/bin-reuse
 counters, workspace churn, kernel profile) may differ between
 schedules; the physics counters, tallies and final population are
@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
+from repro.core.handlers import BlockHandlers, PassHandlers, event_pass
 from repro.kernels import KernelDispatch, Workspace
 from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
@@ -203,154 +204,147 @@ def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
 class _OPStrategy:
     """Blocked lock-step depth-first transport for one census step.
 
-    Thin scheduling shell around the legacy ``_SweepContext`` /
-    ``_Block`` machinery (still owned by ``over_particles.py``); the
-    context persists across steps so a pure-OP plan replays the legacy
-    driver's exact object lifecycle.
+    Over Events restricted to a lane block: each block of alive
+    histories is gathered into :class:`~repro.core.handlers.BlockHandlers`,
+    passed until every lane is censused or dead, and written back.
+    Offspring are banked as ``(parent, event, child, record)`` entries and
+    join the arena at its end in that sorted order — the order a
+    one-history-at-a-time traversal appends them — to be swept in turn.
+    Under fused ensemble lanes blocks are clipped at replica boundaries
+    and the arena is re-sorted stably by replica between steps, so each
+    replica sees exactly its standalone block sequence.
     """
 
     scheme = Scheme.OVER_PARTICLES
 
     def __init__(self, stepper: "CensusStepper"):
-        from repro.core.over_particles import _SweepContext
-
-        if stepper.lanes is not None:
-            raise ValueError(
-                "fused ensemble lanes require the over_events strategy "
-                "(the fused OP path lives in repro.ensemble.op)"
-            )
         self.stepper = stepper
-        ctx = _SweepContext(stepper.run_config, stepper.mesh,
-                            stepper.tally, stepper.dispatch, stepper.ws,
-                            provider=stepper.provider)
-        ctx.trace = stepper.trace
-        ctx.counters = stepper.counters
-        self.ctx = ctx
+        self.bank: list = []
 
     def begin_step(self, step: int) -> None:
-        pass
+        stepper = self.stepper
+        lanes = stepper.lanes
+        if lanes is not None and step > 0:
+            # Children were appended at the end: make each replica one
+            # contiguous run again (stable, so within-replica order — the
+            # standalone order — is preserved).
+            order = stepper.arena.sort_by("replica_id")
+            lanes.rep = lanes.rep[order]
+            stepper.coll_pp = stepper.coll_pp[order]
+            stepper.facet_pp = stepper.facet_pp[order]
+
+    def _segments(self, lo: int) -> list[tuple[int, int]]:
+        """``[lo, len(arena))`` as block-clipping runs: one run, or one per
+        contiguous replica under fused lanes."""
+        arena = self.stepper.arena
+        n = len(arena)
+        if self.stepper.lanes is None:
+            return [(lo, n)] if lo < n else []
+        return [
+            (lo + a, lo + b) for _, a, b in arena.view(lo, n).replica_segments()
+        ]
 
     def run_step(self, step: int, decision: StepDecision, rec) -> None:
-        from repro.core.over_particles import _Block
-
         stepper = self.stepper
         arena = stepper.arena
-        ctx = self.ctx
-        ctx.coll_pp = stepper.coll_pp
-        ctx.facet_pp = stepper.facet_pp
         block_size = decision.block_size or stepper.run_config.op_block_size
-        cursor = 0
-        while cursor < len(arena):
-            hi = min(cursor + block_size, len(arena))
-            idx = cursor + np.nonzero(arena.alive[cursor:hi])[0]
-            if idx.size:
-                with rec.span(
-                    "census_wave", lo=cursor, hi=hi, lanes=int(idx.size),
-                ):
-                    _Block(ctx, arena, idx).run()
-            cursor = hi
-            # Drain the fission bank within the timestep: offspring join
-            # the population in the deterministic (parent, event, child)
-            # order and are tracked in turn.
-            if cursor == len(arena) and ctx.bank:
-                ctx.bank.sort(key=lambda entry: entry[:3])
-                children = [entry[3] for entry in ctx.bank]
-                arena.append_records(children)
-                grow = np.zeros(len(children), dtype=np.int64)
-                ctx.coll_pp = np.concatenate([ctx.coll_pp, grow])
-                ctx.facet_pp = np.concatenate([ctx.facet_pp, grow])
-                ctx.bank = []
+        segments = self._segments(0)
+        while segments:
+            for lo, hi in segments:
+                for cursor in range(lo, hi, block_size):
+                    bhi = min(cursor + block_size, hi)
+                    idx = cursor + np.nonzero(arena.alive[cursor:bhi])[0]
+                    if idx.size == 0:
+                        continue
+                    with rec.span(
+                        "census_wave", lo=cursor, hi=bhi, lanes=int(idx.size),
+                    ):
+                        block = BlockHandlers(stepper, arena, idx, self.bank)
+                        block.run_to_census()
+                        block.writeback(arena)
+            segments = self._drain_bank()
+
+    def _drain_bank(self) -> list[tuple[int, int]]:
+        """Append the banked offspring in (parent, event, child) order;
+        returns the new runs to sweep."""
+        if not self.bank:
+            return []
+        stepper = self.stepper
+        arena = stepper.arena
+        self.bank.sort(key=lambda entry: entry[:3])
+        n_old = len(arena)
+        arena.append_records([entry[3] for entry in self.bank])
+        grow = np.zeros(len(self.bank), dtype=np.int64)
+        stepper.coll_pp = np.concatenate([stepper.coll_pp, grow])
+        stepper.facet_pp = np.concatenate([stepper.facet_pp, grow])
+        lanes = stepper.lanes
+        if lanes is not None:
+            # Each child inherits its parent's replica.
+            parents = np.array([entry[0] for entry in self.bank], dtype=np.int64)
+            child_rep = lanes.rep[parents]
+            arena.replica_id[n_old:] = child_rep
+            lanes.rep = np.concatenate([lanes.rep, child_rep])
+        self.bank = []
+        return self._segments(n_old)
 
     def end_step(self) -> None:
         # Block writeback already synchronised every RNG counter into the
-        # arena; only the shared per-particle books need rebinding (they
-        # may have grown with banked children).
-        self.stepper.coll_pp = self.ctx.coll_pp
-        self.stepper.facet_pp = self.ctx.facet_pp
+        # arena; the Over Events caches are stale now.
         self.stepper.oe_dirty = True
 
 
 class _OEStrategy:
     """Breadth-first event-pass transport for one census step.
 
-    Wraps the legacy ``_EventContext`` / ``_event_pass`` machinery (still
-    owned by ``over_events.py``).  The context persists across
-    consecutive OE steps — preserving the cross-timestep bin-reuse cache
-    a pure-OE run relies on — and is rebuilt whenever another strategy
-    (or boundary maintenance) touched the population, because its
-    positional caches (micro-XS arrays, material index, RNG gather)
-    would be stale.
+    :func:`~repro.core.handlers.event_pass` over the whole arena until
+    every history is censused or dead, absorbing offspring between
+    passes.  The :class:`~repro.core.handlers.PassHandlers` persist
+    across consecutive OE steps — preserving the cross-timestep bin-reuse
+    cache a pure-OE run relies on — and are rebuilt whenever another
+    strategy (or boundary maintenance) touched the population, because
+    their positional caches (micro-XS arrays, material index, RNG
+    gather) would be stale.
     """
 
     scheme = Scheme.OVER_EVENTS
 
     def __init__(self, stepper: "CensusStepper"):
         self.stepper = stepper
-        self.ctx = None
         self.handlers = None
 
-    def _ensure_ctx(self):
-        from repro.core.over_events import _EventContext
-
-        stepper = self.stepper
-        if self.ctx is not None and not stepper.oe_dirty:
-            return self.ctx
-        ctx = _EventContext(
-            stepper.run_config, stepper.mesh, stepper.tally, stepper.arena,
-            stepper.dispatch, stepper.ws, lanes=stepper.lanes,
-            provider=stepper.provider,
-        )
-        # Charge the shared books (the provider instance is shared too, so
-        # cross-section data is built exactly once per run).
-        ctx.counters = stepper.counters
-        ctx.coll_pp = stepper.coll_pp
-        ctx.facet_pp = stepper.facet_pp
-        self.handlers = {
-            "collide": ctx.handle_collisions,
-            "cross_facet": ctx.handle_facets,
-            "census": ctx.handle_census,
-        }
-        self.ctx = ctx
-        stepper.oe_dirty = False
-        return ctx
-
     def begin_step(self, step: int) -> None:
-        ctx = self._ensure_ctx()
-        store = ctx.store
-        store.censused[:] = ~store.alive
+        stepper = self.stepper
+        if self.handlers is None or stepper.oe_dirty:
+            self.handlers = PassHandlers(stepper)
+            stepper.oe_dirty = False
+        stepper.arena.censused[:] = ~stepper.arena.alive
 
     def run_step(self, step: int, decision: StepDecision, rec) -> None:
-        from repro.core.over_events import _event_pass
-
-        ctx = self.ctx
+        h = self.handlers
         ws = self.stepper.ws
-        store = ctx.store
+        arena = h.arena
         # Refresh the cached microscopic cross sections for every live
         # history (Over Particles does the same at each history start).
-        ctx.refresh_micro(np.nonzero(store.alive)[0])
+        h.refresh_micro(np.nonzero(arena.alive)[0])
         npass = 0
         while True:
-            n = len(store)
+            n = len(arena)
             active = ws.bool_("active", n)
-            np.logical_not(store.censused, out=active)
-            np.logical_and(store.alive, active, out=active)
+            np.logical_not(arena.censused, out=active)
+            np.logical_and(arena.alive, active, out=active)
             if not active.any():
                 break
             with rec.span("event_pass", index=npass) as pass_span:
-                _event_pass(ctx, self.handlers, active, n, pass_span)
+                masks = event_pass(h, active)
+                h.record_pass(active, masks, pass_span)
+                h.absorb_children()
             npass += 1
-            store = ctx.store
 
     def end_step(self) -> None:
-        ctx = self.ctx
         # In-place write — the arena's fields are views of one shared
-        # buffer and must never be rebound.  Synchronising every step
-        # (not just at run end, as the legacy driver did) is what makes
-        # an OE→OP hand-off read the right streams; the final step's
-        # write is bitwise the legacy end-of-run write.
-        ctx.store.rng_counter[...] = ctx.rng.counters
-        self.stepper.coll_pp = ctx.coll_pp
-        self.stepper.facet_pp = ctx.facet_pp
+        # buffer and must never be rebound.  Synchronising every step is
+        # what makes an OE→OP hand-off read the right streams.
+        self.handlers.arena.rng_counter[...] = self.handlers.rng.counters
 
 
 class CensusStepper:
@@ -391,6 +385,7 @@ class CensusStepper:
             )
         else:
             self.run_config = config
+        self.material_map = self.run_config.resolved_material_map()
         if arena is None:
             arena = sample_source(
                 self.mesh, config.source, config.nparticles, config.seed,
@@ -428,8 +423,7 @@ class CensusStepper:
     def _probe_step(self, step: int) -> None:
         """Publish this shard's in-progress counter totals to the live
         plane (fused ensemble lanes keep per-replica counters, so sum
-        them in; OP's xs stats fold only at finalisation and appear at
-        shard commit instead — live totals jump there, monotonically)."""
+        them in)."""
         c = self.counters
         events = c.total_events
         xs = c.xs_lookups
@@ -558,15 +552,6 @@ class CensusStepper:
             self.coll_pp = np.concatenate([self.coll_pp, dead_coll])
             self.facet_pp = np.concatenate([self.facet_pp, dead_facet])
         self.morgue = []
-        op = self._strategies.get(Scheme.OVER_PARTICLES)
-        if op is not None:
-            # The OP sweep accumulates lookup statistics out-of-band;
-            # fold them into the shared books (OE charges its own lookups
-            # directly, so += composes correctly for mixed schedules).
-            stats = op.ctx.lookup_stats
-            counters.xs_lookups += stats.lookups
-            counters.xs_binary_probes += stats.binary_probes
-            counters.xs_linear_probes += stats.linear_probes
         lanes = self.lanes
         if lanes is not None:
             rep = lanes.rep
@@ -629,9 +614,13 @@ def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
     :class:`repro.adaptive.AdaptiveScheduler`), a :class:`SwitchPlan`,
     or any object with ``decide(step, stepper) -> StepDecision``.
 
-    Restricted to a fixed-scheme plan this reproduces the legacy
-    ``run_over_particles`` / ``run_over_events`` drivers bit-for-bit;
-    those entry points are now thin shims over this function.
+    ``lanes`` (a :class:`repro.ensemble.EnsembleLanes`, with a
+    fixed-scheme plan) fuses N replicas into the one arena: per-lane RNG
+    seeds/cutoffs/dt and per-replica counter/tally attribution, while
+    every kernel dispatch stays one fused call.  ``trace`` receives the
+    event trace ``(history_index, event_kind, flat_cell)`` — the input of
+    the discrete-event replay in :mod:`repro.simexec`; each history's
+    events appear in its execution order.
     """
     from repro.core.simulation import TransportResult
 
@@ -641,12 +630,11 @@ def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
             config, plan if plan is not None else Scheme.OVER_PARTICLES
         )
     plan = _coerce_plan(config, plan)
-    if lanes is not None:
-        if getattr(plan, "fixed_scheme", None) is not Scheme.OVER_EVENTS:
-            raise ValueError(
-                "fused ensemble lanes require a pure over_events plan "
-                "(the fused OP path lives in repro.ensemble.op)"
-            )
+    if lanes is not None and getattr(plan, "fixed_scheme", None) is None:
+        raise ValueError(
+            "fused ensemble lanes require a fixed-scheme plan "
+            "(over_particles or over_events)"
+        )
     stepper = CensusStepper(
         config, arena=arena, tally=tally, trace=trace, recorder=recorder,
         lanes=lanes, provider=provider, probe=probe,

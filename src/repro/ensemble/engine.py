@@ -26,9 +26,8 @@ import numpy as np
 
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
-from repro.core.over_events import run_over_events
+from repro.core.stepper import run_stepped
 from repro.ensemble.lanes import EnsembleLanes
-from repro.ensemble.op import run_over_particles_fused
 from repro.ensemble.spec import EnsembleSpec, validate_members
 from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
@@ -120,9 +119,8 @@ class EnsembleJob:
         """Run the fused transport over replica-aligned shard ranges;
         returns the pool payload dict plus per-replica books.
 
-        ``probe`` feeds the live plane: OE publishes per census step via
-        the stepper, the fused OP driver at shard commit only (its
-        per-replica counters fold at finalisation)."""
+        ``probe`` feeds the live plane: the stepper publishes per census
+        step, and each shard's totals land at commit."""
         t0 = time.perf_counter()
         bounds = np.asarray(self.bounds, dtype=np.int64)
         tally = EnergyDepositionTally(self.nx, self.ny)
@@ -143,15 +141,10 @@ class EnsembleJob:
             view = population.view(lo, hi).copy()
             view.replica_id -= r0
             lanes = EnsembleLanes(sub, view.replica_id, self.nx, self.ny)
-            if scheme is Scheme.OVER_EVENTS:
-                res = run_over_events(
-                    sub[0], arena=view, lanes=lanes, recorder=recorder,
-                    probe=probe,
-                )
-            else:
-                res = run_over_particles_fused(
-                    sub, view, lanes, recorder=recorder
-                )
+            res = run_stepped(
+                sub[0], scheme, arena=view, lanes=lanes, recorder=recorder,
+                probe=probe,
+            )
             if probe is not None and probe.enabled:
                 probe.commit_shard(res.counters, hi - lo)
             res.arena.replica_id += r0
@@ -247,10 +240,14 @@ def run_ensemble(
     live:
         Optional :class:`repro.obs.live.LiveAggregator` attaching the
         live observability plane (purely observational; see
-        ``run_pool``).  The serial OE path streams per census step; the
-        fused OP path reports at completion.
+        ``run_pool``).  The serial path streams per census step.
     """
     t0 = time.perf_counter()
+    if scheme not in (Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS):
+        raise ValueError(
+            "a fused ensemble runs one fixed scheme (over_particles or "
+            f"over_events), got {scheme!r}"
+        )
     rec = NULL_RECORDER if recorder is None else recorder
     members = _expand(spec_or_members)
     nrep = len(members)
@@ -303,16 +300,10 @@ def run_ensemble(
             )
             inner_rec = rec if rec.enabled else None
             probe = live.probe(0) if live is not None else None
-            if scheme is Scheme.OVER_EVENTS:
-                fused_result = run_over_events(
-                    run_base, arena=fused, lanes=lanes, recorder=inner_rec,
-                    provider=provider, probe=probe,
-                )
-            else:
-                fused_result = run_over_particles_fused(
-                    run_members, fused, lanes, recorder=inner_rec,
-                    provider=provider,
-                )
+            fused_result = run_stepped(
+                run_base, scheme, arena=fused, lanes=lanes,
+                recorder=inner_rec, provider=provider, probe=probe,
+            )
             if probe is not None:
                 probe.commit_shard(fused_result.counters, len(fused))
             final = fused_result.arena

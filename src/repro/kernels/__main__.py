@@ -10,7 +10,9 @@ from repro.kernels.audit import (
     AUDITED_PACKAGES,
     CENSUS_AUDITED_PACKAGES,
     CENSUS_LOOP_HOME,
+    HANDLER_HOME,
     audit_census_loops,
+    audit_event_handlers,
     audit_particle_construction,
     audit_vec_definitions,
     audit_xs_table_access,
@@ -25,10 +27,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail if any *_vec physics implementation exists outside "
-        "repro/kernels, any hot path constructs AoS particle records, "
-        "or any driver re-implements the census loop outside "
-        "repro/core/stepper.py",
+        help="fail if any *_vec physics implementation or alias exists "
+        "outside repro/kernels, any hot path constructs AoS particle "
+        "records, any driver re-implements the census loop outside "
+        "repro/core/stepper.py, or any event handler is defined outside "
+        "repro/core/handlers.py",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -38,6 +41,7 @@ def main(argv=None) -> int:
         audit_vec_definitions()
         + audit_particle_construction()
         + audit_census_loops()
+        + audit_event_handlers()
         + audit_xs_table_access()
     )
     if violations:
@@ -49,12 +53,14 @@ def main(argv=None) -> int:
     pkgs = ", ".join(AUDITED_PACKAGES)
     arena_pkgs = ", ".join(ARENA_AUDITED_PACKAGES)
     print(f"OK: no *_vec physics implementations outside repro/kernels "
-          f"({pkgs} audited)")
+          f"({pkgs} audited) and no *_vec alias bindings anywhere")
     print(f"OK: no AoS particle construction in hot paths "
           f"({arena_pkgs} audited)")
     census_pkgs = ", ".join(CENSUS_AUDITED_PACKAGES)
     print(f"OK: no census loops outside {CENSUS_LOOP_HOME} "
           f"({census_pkgs} audited)")
+    print(f"OK: event handlers defined once, in {HANDLER_HOME} "
+          "(all packages audited)")
     print("OK: no direct cross-section table access outside repro/xs "
           "(all packages audited)")
     return 0

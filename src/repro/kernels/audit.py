@@ -3,18 +3,19 @@
 ``python -m repro.kernels --check`` scans ``repro/physics``, ``repro/xs``
 and ``repro/rng`` for function definitions (module- or class-level) whose
 name ends in ``_vec``.  Those used to be the hand-maintained vectorised
-twins of the scalar physics; they are now deprecated aliases of the batch
-kernels in this package.  The audit fails CI if a real implementation
-creeps back.
+twins of the scalar physics; the batch kernels in this package replaced
+them.  The audit fails CI if a real implementation creeps back.
 
 Permitted:
 
-* plain name aliases (``collide_vec = kernels.collide`` — no ``def``);
 * thin delegating wrappers whose body is a single ``return <call>`` (plus
   an optional docstring) — public-API shims that cannot drift;
 * an explicit allowlist for genuine batch primitives that predate the
   kernel layer and live with their scalar reference for cipher-level
   test symmetry (``threefry2x64_vec``).
+
+Alias bindings (``collide_vec = batch.collide``) are rejected everywhere
+outside this package: callers import the canonical kernel name.
 
 A second audit guards the storage layer: the hot driver packages
 (``repro/core``, ``repro/parallel``, ``repro/volume``) must not construct
@@ -22,6 +23,10 @@ AoS particle records — ``Particle(...)``/``Particle3(...)`` calls are
 rejected so the population stays in the SoA
 :class:`~repro.particles.arena.ParticleArena` (secondaries are banked as
 :class:`~repro.particles.arena.ParticleRecord` tuples instead).
+
+A third audit keeps the 2-D event physics single-sourced: the
+``handle_collisions``/``handle_facets``/``handle_census`` handlers may be
+defined only in :data:`HANDLER_HOME`, once each.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from pathlib import Path
 
 __all__ = [
     "audit_vec_definitions",
+    "audit_event_handlers",
     "audit_particle_construction",
     "audit_census_loops",
     "audit_xs_table_access",
@@ -45,6 +51,9 @@ __all__ = [
     "FORBIDDEN_XS_NAMES",
     "XS_TABLE_ATTRS",
     "ALLOWED_XS_TABLE_FILES",
+    "HANDLER_NAMES",
+    "HANDLER_HOME",
+    "ALLOWED_HANDLER_FILES",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -102,6 +111,23 @@ ALLOWED_XS_TABLE_FILES = frozenset({
 })
 
 
+#: The event handler names that must exist exactly once.
+HANDLER_NAMES = ("handle_collisions", "handle_facets", "handle_census")
+
+#: The one module allowed to define them.
+HANDLER_HOME = "core/handlers.py"
+
+#: Files exempt from the handler rule: the 3-D driver keeps its own
+#: handlers until it is ported onto the shared layer.
+ALLOWED_HANDLER_FILES = frozenset({"volume/driver3.py"})
+
+
+def _package_root(package_root) -> Path:
+    if package_root is None:
+        return Path(__file__).resolve().parent.parent
+    return Path(package_root)
+
+
 def _is_thin_wrapper(node: ast.FunctionDef) -> bool:
     """True when the body is (docstring +) a single ``return <call>``."""
     body = list(node.body)
@@ -123,12 +149,39 @@ def _vec_defs(tree: ast.AST):
                 yield node
 
 
+def _vec_aliases(tree: ast.Module):
+    """Module- and class-level ``*_vec = <name or attribute>`` bindings."""
+    scopes = [tree.body] + [
+        node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    for body in scopes:
+        for node in body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            if not isinstance(node.value, (ast.Name, ast.Attribute)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_vec"):
+                    yield node, target.id
+
+
 def audit_vec_definitions(package_root: str | Path | None = None) -> list[str]:
     """Return violation messages (empty list means the audit passes)."""
-    if package_root is None:
-        package_root = Path(__file__).resolve().parent.parent
-    package_root = Path(package_root)
+    package_root = _package_root(package_root)
     violations: list[str] = []
+    for path in sorted(package_root.rglob("*.py")):
+        rel = path.relative_to(package_root).as_posix()
+        if rel.startswith("kernels/"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, name in _vec_aliases(tree):
+            violations.append(
+                f"{rel}:{node.lineno}: {name} = ... — alias binding of a "
+                "batch kernel; import the canonical repro.kernels name"
+            )
     for pkg in AUDITED_PACKAGES:
         for path in sorted((package_root / pkg).rglob("*.py")):
             rel = path.relative_to(package_root).as_posix()
@@ -166,9 +219,7 @@ def audit_particle_construction(
     list means the audit passes).  New population entries must be banked
     as ``ParticleRecord`` tuples and appended to the arena.
     """
-    if package_root is None:
-        package_root = Path(__file__).resolve().parent.parent
-    package_root = Path(package_root)
+    package_root = _package_root(package_root)
     violations: list[str] = []
     for pkg in ARENA_AUDITED_PACKAGES:
         for path in sorted((package_root / pkg).rglob("*.py")):
@@ -216,9 +267,7 @@ def audit_xs_table_access(package_root: str | Path | None = None) -> list[str]:
 
     Returns violation messages; an empty list means the audit passes.
     """
-    if package_root is None:
-        package_root = Path(__file__).resolve().parent.parent
-    package_root = Path(package_root)
+    package_root = _package_root(package_root)
     violations: list[str] = []
     for path in sorted(package_root.rglob("*.py")):
         rel = path.relative_to(package_root).as_posix()
@@ -265,9 +314,7 @@ def audit_census_loops(package_root: str | Path | None = None) -> list[str]:
     ``begin_step``/``run_step`` callbacks to the stepper instead, so
     scheme switching and step telemetry keep working everywhere.
     """
-    if package_root is None:
-        package_root = Path(__file__).resolve().parent.parent
-    package_root = Path(package_root)
+    package_root = _package_root(package_root)
     violations: list[str] = []
     for pkg in CENSUS_AUDITED_PACKAGES:
         for path in sorted((package_root / pkg).rglob("*.py")):
@@ -282,4 +329,42 @@ def audit_census_loops(package_root: str | Path | None = None) -> list[str]:
                         "ntimesteps — drivers must route through "
                         "drive_census_loop in repro/core/stepper.py"
                     )
+    return violations
+
+
+def audit_event_handlers(package_root: str | Path | None = None) -> list[str]:
+    """Keep the 2-D event handlers single-sourced.
+
+    Rejects any :data:`HANDLER_NAMES` definition outside
+    :data:`HANDLER_HOME` (except :data:`ALLOWED_HANDLER_FILES`), and any
+    handler the home defines other than exactly once — Over Particles
+    blocks, Over Events passes and fused ensembles all run the one
+    :class:`repro.core.handlers.EventHandlers` set.  Returns violation
+    messages; an empty list means the audit passes.
+    """
+    package_root = _package_root(package_root)
+    violations: list[str] = []
+    home_defs = {name: 0 for name in HANDLER_NAMES}
+    for path in sorted(package_root.rglob("*.py")):
+        rel = path.relative_to(package_root).as_posix()
+        if rel in ALLOWED_HANDLER_FILES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name not in HANDLER_NAMES:
+                continue
+            if rel == HANDLER_HOME:
+                home_defs[node.name] += 1
+            else:
+                violations.append(
+                    f"{rel}:{node.lineno}: def {node.name} — event handlers "
+                    f"live once in {HANDLER_HOME}"
+                )
+    for name, count in home_defs.items():
+        if count != 1:
+            violations.append(
+                f"{HANDLER_HOME}: {name} defined {count} times (expected 1)"
+            )
     return violations

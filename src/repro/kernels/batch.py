@@ -11,8 +11,9 @@ Both execution schemes drive these kernels:
 
 The scalar functions that remain in :mod:`repro.physics` are retained as
 the reference implementations the parity suite pins these kernels against
-element-wise, bit-for-bit (``tests/test_kernels_parity.py``); the old
-module-level ``*_vec`` twins are now deprecated aliases of these kernels.
+element-wise, bit-for-bit (``tests/test_kernels_parity.py``).  Callers
+import the kernels under their names here; ``python -m repro.kernels
+--check`` rejects ``*_vec`` alias bindings elsewhere.
 
 The bodies here are the verified vectorised forms moved from
 ``physics/*`` — their operation order is part of the bit-parity contract

@@ -3,8 +3,8 @@
 The 3-D driver shares the event structure (and most physics) with the
 2-D kernels in :mod:`repro.kernels.batch`; only the direction algebra and
 the extra axis differ.  These are the batch implementations moved from
-``volume/*`` — the volume modules keep their scalar reference forms and
-alias their old ``*_vec`` names here.
+``volume/*`` — the volume modules keep only their scalar reference
+forms.
 
 ``mesh`` arguments are duck-typed (``nx``/``ny``/``nz``) to keep this
 module free of imports from :mod:`repro.volume` (which imports us).

@@ -8,9 +8,11 @@ to ``Counters.kernel_profile`` at the end of a run, printed by
 ``bench.measured_kernel_profile`` so the measured hot-kernel ranking can
 be compared against the paper's §VII characterisation.
 
-:data:`EVENT_KERNELS` is the single kind→kernel mapping both drivers use
-to dispatch event handlers — adding an event type means adding one entry
-here and one handler per driver, with no if/elif ladders to keep in sync.
+:data:`EVENT_KERNELS` is the single kind→kernel mapping the event pass
+(:func:`repro.core.handlers.event_pass`) dispatches handlers by — adding
+an event type means adding one entry here and one handler in
+:class:`repro.core.handlers.EventHandlers`, with no if/elif ladders to
+keep in sync.
 """
 
 from __future__ import annotations

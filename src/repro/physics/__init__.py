@@ -10,21 +10,20 @@ The particle event-tracking procedure (paper §IV-A) considers three events:
 * **census** — the terminal event at the end of the timestep.
 
 Individual timers (distance budgets) are maintained per event; every handled
-event updates the others' timers by the distance travelled.  All handlers
-exist in scalar form (Over Particles) and vectorised form (Over Events) and
-are verified to be bit-identical by the test suite.
+event updates the others' timers by the distance travelled.  The scalar
+forms here are the reference implementations; the transport drivers run
+the batch kernels in :mod:`repro.kernels`, which the test suite verifies
+to be bit-identical to them.
 """
 
 from repro.physics.constants import (
     NEUTRON_MASS_KG,
     EV_TO_J,
     speed_from_energy_ev,
-    speed_from_energy_ev_vec,
 )
 from repro.physics.events import (
     EventKind,
     distance_to_facet,
-    distance_to_facet_vec,
     distance_to_collision,
     distance_to_census,
 )
@@ -35,10 +34,8 @@ __all__ = [
     "NEUTRON_MASS_KG",
     "EV_TO_J",
     "speed_from_energy_ev",
-    "speed_from_energy_ev_vec",
     "EventKind",
     "distance_to_facet",
-    "distance_to_facet_vec",
     "distance_to_collision",
     "distance_to_census",
     "elastic_scatter_kinematics",

@@ -13,8 +13,7 @@ The facet calculation is the "simple intersection in Cartesian space" of
 
 The scalar functions here are the *reference implementations* the parity
 suite pins the batch kernels against; the batch forms live in
-:mod:`repro.kernels.batch` and the old ``*_vec`` names are deprecated
-aliases of them.
+:mod:`repro.kernels.batch`.
 """
 
 from __future__ import annotations
@@ -24,17 +23,13 @@ from repro.kernels.batch import (  # noqa: F401  (re-exported constants)
     HUGE_DISTANCE,
     PARALLEL_EPS,
 )
-from repro.kernels import batch as _batch
 
 __all__ = [
     "EventKind",
     "distance_to_facet",
-    "distance_to_facet_vec",
     "distance_to_collision",
-    "distance_to_collision_vec",
     "distance_to_census",
     "select_event",
-    "select_event_vec",
     "HUGE_DISTANCE",
     "PARALLEL_EPS",
 ]
@@ -97,9 +92,3 @@ def select_event(d_collision: float, d_facet: float, d_census: float) -> EventKi
     if d_facet <= d_census:
         return EventKind.FACET
     return EventKind.CENSUS
-
-
-# Deprecated aliases: the batch kernels are the single implementation.
-distance_to_facet_vec = _batch.distance_to_facet
-distance_to_collision_vec = _batch.distance_to_collision
-select_event_vec = _batch.select_events

@@ -29,22 +29,20 @@ import numpy as np
 
 from repro.core.counters import Counters
 from repro.core.stepper import census_dt_reset, drive_census_loop
-from repro.kernels import KernelDispatch
+from repro.kernels import KernelDispatch, batch, batch3
 from repro.kernels.dispatch import KERNEL_TABLE_3D
 from repro.obs.spans import NULL_RECORDER
 from repro.particles.arena import ParticleArena3
-from repro.physics.constants import speed_from_energy_ev, speed_from_energy_ev_vec
+from repro.physics.constants import speed_from_energy_ev
 from repro.physics.events import (
     EventKind,
     distance_to_collision,
-    distance_to_collision_vec,
     select_event,
 )
 from repro.rng.stream import ParticleRNG, VectorParticleRNG
 from repro.volume.collision3 import collide3
 from repro.volume.events3 import distance_to_facet_3d
 from repro.volume.facet3 import cross_facet_3d
-from repro.volume.kinematics3 import sample_isotropic_direction_3d_vec
 from repro.volume.mesh3 import StructuredMesh3D, Tally3D
 from repro.volume.problems3 import Volume3DConfig
 from repro.xs.macroscopic import macroscopic_cross_section
@@ -115,7 +113,7 @@ def _sample_source_3d(config: Volume3DConfig, mesh: StructuredMesh3D):
 
     Bit-identical to the retired scalar loop: the vector RNG consumes the
     same per-history counters, and every kinematics helper has an
-    element-wise-identical ``_vec`` twin.  Returns the arena plus the
+    element-wise-identical batch kernel.  Returns the arena plus the
     vector RNG (the Over Events driver keeps drawing from it)."""
     src = config.source
     n = config.nparticles
@@ -125,7 +123,7 @@ def _sample_source_3d(config: Volume3DConfig, mesh: StructuredMesh3D):
     arena.x[...] = src.x0 + u[0] * (src.x1 - src.x0)
     arena.y[...] = src.y0 + u[1] * (src.y1 - src.y0)
     arena.z[...] = src.z0 + u[2] * (src.z1 - src.z0)
-    ox, oy, oz = sample_isotropic_direction_3d_vec(u[3], u[4])
+    ox, oy, oz = batch3.sample_isotropic_direction_3d(u[3], u[4])
     arena.ox[...] = ox
     arena.oy[...] = oy
     arena.oz[...] = oz
@@ -443,8 +441,8 @@ def run_over_events_3d(
                         sigma_s = macroscopic_cross_section(micro_s, a["density"], molar)
                         sigma_a = macroscopic_cross_section(micro_c, a["density"], molar)
                         sigma_t = sigma_s + sigma_a
-                        speed = speed_from_energy_ev_vec(a["energy"])
-                        d_coll = distance_to_collision_vec(a["mfp"], sigma_t)
+                        speed = batch.speed_from_energy(a["energy"])
+                        d_coll = batch.distance_to_collision(a["mfp"], sigma_t)
                         x_lo = a["cellx"] * mesh.dx
                         x_hi = (a["cellx"] + 1) * mesh.dx
                         y_lo = a["celly"] * mesh.dy

@@ -197,3 +197,38 @@ def test_run3d_serve_metrics(capsys):
     ])
     assert rc == 0
     assert "live metrics:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--particles", "0"],
+    ["run", "--timesteps", "0"],
+    ["run3d", "--particles", "0"],
+])
+def test_degenerate_counts_fail_with_one_line_error(capsys, argv):
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: need at least one")
+
+
+@pytest.mark.parametrize("command", ["run", "run3d"])
+def test_unwritable_telemetry_path_fails_before_transport(
+    capsys, monkeypatch, tmp_path, command
+):
+    import repro.cli
+    import repro.volume
+
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transport started despite a bad output path")
+
+    monkeypatch.setattr(repro.cli.Simulation, "run", no_transport)
+    monkeypatch.setattr(repro.volume, "run_over_particles_3d", no_transport)
+    path = tmp_path / "missing" / "t.json"
+    rc = main([command, "--particles", "5", "--telemetry", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}")

@@ -243,6 +243,11 @@ def test_validate_members_rejects_non_fusible_mismatch():
         validate_members([base, other])
 
 
+def test_run_ensemble_rejects_adaptive_scheme():
+    with pytest.raises(ValueError, match="one fixed scheme"):
+        run_ensemble(_spec("stream"), Scheme.AUTO)
+
+
 def test_sweep_spec_parse_rejects_bad_forms():
     with pytest.raises(ValueError, match="expected param=lo:hi:steps"):
         SweepSpec.parse("weight_cutoff=0.1:0.3")

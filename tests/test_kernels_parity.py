@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core import csp_problem, scatter_problem, stream_problem
-from repro.core.config import SearchStrategy
-from repro.core.over_particles import run_over_particles
+from repro.core.config import Scheme, SearchStrategy
+from repro.core.stepper import run_stepped
 from repro.kernels import batch
 from repro.kernels import xs as kxs
 from repro.mesh.boundary import BoundaryCondition
@@ -250,7 +250,7 @@ def test_op_block_size_invariance(problem):
     cfg = _PROBLEMS[problem](nx=48, nparticles=25)
     reference = None
     for block in (1, 7, 64, cfg.nparticles + 3):
-        result = run_over_particles(cfg.with_(op_block_size=block))
+        result = run_stepped(cfg.with_(op_block_size=block), Scheme.OVER_PARTICLES)
         state = _final_state(result)
         snapshot = result.counters.snapshot()
         deposition = result.tally.deposition
@@ -270,7 +270,7 @@ def test_op_block_size_invariance_binary_search():
         search=SearchStrategy.BINARY
     )
     runs = [
-        run_over_particles(cfg.with_(op_block_size=block))
+        run_stepped(cfg.with_(op_block_size=block), Scheme.OVER_PARTICLES)
         for block in (1, 64)
     ]
     assert _final_state(runs[0]) == _final_state(runs[1])
@@ -281,16 +281,79 @@ def test_op_block_size_invariance_binary_search():
 
 def test_op_multi_timestep_block_invariance():
     cfg = stream_problem(nx=48, nparticles=25).with_(ntimesteps=3)
-    a = run_over_particles(cfg.with_(op_block_size=1))
-    b = run_over_particles(cfg.with_(op_block_size=64))
+    a = run_stepped(cfg.with_(op_block_size=1), Scheme.OVER_PARTICLES)
+    b = run_stepped(cfg.with_(op_block_size=64), Scheme.OVER_PARTICLES)
     assert _final_state(a) == _final_state(b)
     assert a.counters.snapshot() == b.counters.snapshot()
 
 
 def test_op_kernel_profile_attached():
     cfg = scatter_problem(nx=48, nparticles=25)
-    result = run_over_particles(cfg)
+    result = run_stepped(cfg, Scheme.OVER_PARTICLES)
     profile = result.counters.kernel_profile
     assert {"distances", "select_events", "collide", "xs_lookup"} <= set(profile)
     for calls, items, seconds in profile.values():
         assert calls > 0 and items > 0 and seconds >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Kernel-surface audits
+# ---------------------------------------------------------------------------
+
+def _write_tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_vec_audit_clean_and_rejects_alias_bindings(tmp_path):
+    from repro.kernels.audit import audit_vec_definitions
+
+    assert audit_vec_definitions() == []
+    root = _write_tree(tmp_path, {
+        "physics/a.py": (
+            "from repro.kernels import batch\n"
+            "collide_vec = batch.collide\n"
+            "def wrapped_vec(x):\n    return batch.collide(x)\n"
+        ),
+        "volume/b.py": (
+            "class Mesh:\n"
+            "    density_at_vec = None\n"
+            "    def flush_vec(self, x):\n        total = x\n        return total\n"
+            "def f():\n    local_vec = g\n    return local_vec\n"
+        ),
+        "kernels/c.py": "alias_vec = other\n",
+    })
+    violations = audit_vec_definitions(root)
+    assert len(violations) == 1
+    assert violations[0].startswith("physics/a.py:2: collide_vec")
+
+
+def test_event_handler_audit_clean_and_rejects_copies(tmp_path):
+    from repro.kernels.audit import audit_event_handlers
+
+    assert audit_event_handlers() == []
+    handlers = (
+        "class H:\n"
+        "    def handle_collisions(self): pass\n"
+        "    def handle_facets(self): pass\n"
+        "    def handle_census(self): pass\n"
+    )
+    root = _write_tree(tmp_path, {
+        "core/handlers.py": handlers,
+        "volume/driver3.py": "def handle_census(): pass\n",
+    })
+    assert audit_event_handlers(root) == []
+    (root / "ensemble").mkdir()
+    (root / "ensemble/op.py").write_text("def handle_facets(): pass\n")
+    (root / "core/handlers.py").write_text(
+        handlers + "    def handle_census(self, z): pass\n"
+    )
+    violations = audit_event_handlers(root)
+    assert violations == [
+        "ensemble/op.py:1: def handle_facets — event handlers live once in "
+        "core/handlers.py",
+        "core/handlers.py: handle_census defined 2 times (expected 1)",
+    ]
